@@ -3,11 +3,16 @@
 // A cache holds up to kappa approximations. When space runs out it evicts
 // the entry with the widest original (pre-threshold) width, "since they are
 // the least precise approximations and thus contribute least to overall
-// cache precision" (Section 2). Eviction decisions use original widths, not
-// the 0/Inf widths produced by the thresholds, and evictions are silent: the
-// source is not notified, so it may keep refreshing an evicted entry, at
-// which point the cache decides afresh whether the refreshed approximation
-// is worth (re)admitting.
+// cache precision" (Section 2); equal widths go to the smaller key, and a
+// candidate at least as wide as that victim is rejected instead. Eviction
+// decisions use original widths, not the 0/Inf widths produced by the
+// thresholds, and evictions are silent: the source is not notified, so it
+// may keep refreshing an evicted entry, at which point the cache decides
+// afresh whether the refreshed approximation is worth (re)admitting.
+//
+// Both caches keep their residents in an indexed max-heap on that order, so
+// a rejection is an O(1) look at the top and an eviction, admission, drop or
+// in-place width change is one O(log kappa) sift.
 package cache
 
 import (
@@ -32,7 +37,8 @@ type Entry struct {
 // concurrent use; the networked client wraps it with a mutex.
 type Cache struct {
 	capacity int
-	entries  map[int]*Entry
+	entries  map[int]*cacheEntry
+	heap     widthHeap
 
 	hits, misses   int
 	admits, evicts int
@@ -45,7 +51,18 @@ func New(capacity int) *Cache {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("cache: capacity must be positive, got %d", capacity))
 	}
-	return &Cache{capacity: capacity, entries: make(map[int]*Entry, capacity)}
+	return &Cache{
+		capacity: capacity,
+		entries:  make(map[int]*cacheEntry, capacity),
+		heap:     widthHeap{nodes: make([]*heapNode, 0, capacity)},
+	}
+}
+
+// cacheEntry is one resident: its heap node carries the key and the
+// original width, beside the interval served to queries.
+type cacheEntry struct {
+	heapNode
+	iv interval.Interval
 }
 
 // Capacity returns the maximum number of entries.
@@ -63,7 +80,7 @@ func (c *Cache) Get(key int) (interval.Interval, bool) {
 		return interval.Interval{}, false
 	}
 	c.hits++
-	return e.Interval, true
+	return e.iv, true
 }
 
 // Peek is Get without touching the hit/miss statistics.
@@ -72,7 +89,7 @@ func (c *Cache) Peek(key int) (interval.Interval, bool) {
 	if !ok {
 		return interval.Interval{}, false
 	}
-	return e.Interval, true
+	return e.iv, true
 }
 
 // Contains reports whether key is cached without touching statistics.
@@ -96,40 +113,46 @@ func (c *Cache) Put(key int, iv interval.Interval, originalWidth float64) (evict
 		panic(fmt.Sprintf("cache: bad original width %g", originalWidth))
 	}
 	if e, ok := c.entries[key]; ok {
-		e.Interval = iv
-		e.OriginalWidth = originalWidth
+		e.iv = iv
+		e.width = originalWidth
+		c.heap.fix(&e.heapNode)
 		return 0, false
 	}
 	if len(c.entries) < c.capacity {
-		c.entries[key] = &Entry{Key: key, Interval: iv, OriginalWidth: originalWidth}
+		e := &cacheEntry{heapNode: heapNode{key: key, width: originalWidth}, iv: iv}
+		c.entries[key] = e
+		c.heap.push(&e.heapNode)
 		c.admits++
 		return 0, false
 	}
-	// Full: find the widest resident.
-	widestKey, widest := 0, math.Inf(-1)
-	for k, e := range c.entries {
-		if e.OriginalWidth > widest || (e.OriginalWidth == widest && k < widestKey) {
-			widestKey, widest = k, e.OriginalWidth
-		}
-	}
-	if originalWidth >= widest {
+	// Full: the widest resident is on top of the heap.
+	victim := c.heap.top()
+	if originalWidth >= victim.width {
 		// The candidate is at least as wide as every resident: reject it.
 		c.rejects++
 		return 0, false
 	}
-	delete(c.entries, widestKey)
+	// The candidate takes over the victim's entry and heap node, so an
+	// eviction allocates nothing and costs one sift down from the top.
+	evicted = victim.key
+	e := c.entries[evicted]
+	delete(c.entries, evicted)
 	c.evicts++
-	c.entries[key] = &Entry{Key: key, Interval: iv, OriginalWidth: originalWidth}
+	e.key, e.width, e.iv = key, originalWidth, iv
+	c.heap.fix(&e.heapNode)
+	c.entries[key] = e
 	c.admits++
-	return widestKey, true
+	return evicted, true
 }
 
 // Drop removes key if present, returning whether it was cached. Drop models
 // an explicit invalidation; per the paper no source notification occurs.
 func (c *Cache) Drop(key int) bool {
-	if _, ok := c.entries[key]; !ok {
+	e, ok := c.entries[key]
+	if !ok {
 		return false
 	}
+	c.heap.remove(&e.heapNode)
 	delete(c.entries, key)
 	c.evicts++
 	return true
@@ -149,7 +172,8 @@ func (c *Cache) Keys() []int {
 func (c *Cache) Entries() []Entry {
 	out := make([]Entry, 0, len(c.entries))
 	for _, k := range c.Keys() {
-		out = append(out, *c.entries[k])
+		e := c.entries[k]
+		out = append(out, Entry{Key: k, Interval: e.iv, OriginalWidth: e.width})
 	}
 	return out
 }

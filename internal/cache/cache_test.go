@@ -227,3 +227,74 @@ func TestQuickEvictionVictimIsWidest(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// fullCache returns a cache of capacity kappa filled with keys 0..kappa-1,
+// key k at original width 1000+k.
+func fullCache(kappa int) *Cache {
+	c := New(kappa)
+	for k := 0; k < kappa; k++ {
+		w := 1000 + float64(k)
+		c.Put(k, interval.Centered(0, w), w)
+	}
+	return c
+}
+
+// TestCachePutAllocs: a Put to a full cache allocates nothing, whether it
+// rejects the candidate, evicts for it (reusing the victim's entry and heap
+// slot) or updates a resident in place.
+func TestCachePutAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const kappa = 512
+	c := fullCache(kappa)
+	iv := interval.Centered(0, 1)
+	if n := testing.AllocsPerRun(200, func() {
+		if _, did := c.Put(-1, iv, 1e9); did {
+			t.Fatal("widest candidate evicted a resident")
+		}
+	}); n != 0 {
+		t.Errorf("reject: %v allocs/op, want 0", n)
+	}
+	next := kappa
+	if n := testing.AllocsPerRun(200, func() {
+		if _, did := c.Put(next, iv, 1); !did {
+			t.Fatal("narrow candidate was not admitted")
+		}
+		next++
+	}); n != 0 {
+		t.Errorf("evict: %v allocs/op, want 0", n)
+	}
+	w := 0.0
+	if n := testing.AllocsPerRun(200, func() {
+		w = 2000 - w // alternately past the widest resident and below all
+		c.Put(next-1, iv, w)
+	}); n != 0 {
+		t.Errorf("in-place update: %v allocs/op, want 0", n)
+	}
+}
+
+// BenchmarkCachePutFull measures Put on a full cache of 512 entries fed
+// zipf(1.1) keys over 4096 with uniform widths: the mix of rejects,
+// evictions and in-place updates a small client cache sees when a server
+// pushes refreshes for a working set eight times its size.
+func BenchmarkCachePutFull(b *testing.B) {
+	const kappa, keys, n = 512, 4096, 1 << 16
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.1, 1, keys-1)
+	opKeys, opWidths := make([]int, n), make([]float64, n)
+	for i := range opKeys {
+		opKeys[i] = int(zipf.Uint64())
+		opWidths[i] = rng.Float64() * 100
+	}
+	c := New(kappa)
+	for k := 0; k < kappa; k++ {
+		c.Put(k, interval.Centered(0, 50), 50)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i & (n - 1)
+		c.Put(opKeys[j], interval.Centered(0, opWidths[j]), opWidths[j])
+	}
+}

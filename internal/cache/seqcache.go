@@ -41,6 +41,11 @@ import (
 //     reader is parked on it, entries carry their own immutable key and the
 //     reader re-validates against it after resolving the pointer.
 //
+// The eviction order lives apart from both: an indexed max-heap of nodes
+// that only the writer touches, reached from a slot through a writer-only
+// array beside the table. A heap sift therefore never writes to a line a
+// reader loads.
+//
 // A reader racing a writer may observe the cache as it was an instant ago —
 // an entry that was just dropped, or not yet the one just admitted. That is
 // the same linearization slack a mutex would hide, and the approximations
@@ -51,6 +56,7 @@ type SeqCache struct {
 	lender *Lender // this cache's borrowing account with the budget
 
 	table atomic.Pointer[seqTable]
+	heap  widthHeap // writer-only eviction order
 
 	// Reader-bumped hit/miss accounting, striped by key bits across padded
 	// counter blocks. A single pair of atomics here would put every reader
@@ -89,33 +95,34 @@ type seqSlot struct {
 }
 
 // seqTable is one immutable-size probe table. shift positions the high hash
-// bits onto the slot index.
+// bits onto the slot index. nodes[i] is slot i's entry's heap node; it is
+// writer-only and kept off the slots so heap upkeep never touches them.
 type seqTable struct {
 	shift uint
 	slots []seqSlot
+	nodes []*heapNode
 }
 
 // seqEntry is one cached approximation behind a seqlock. key never changes
-// after creation; the interval and width fields change only under the
-// version protocol. The struct is padded to exactly one cache line (and so
-// allocated line-aligned by the size-class allocator): a refresh writing one
-// entry must not invalidate readers parked on a neighboring entry, and a
-// reader's [seq, lo, hi] loads must not straddle two lines.
+// after creation; the interval changes only under the version protocol. The
+// original width, which only the writer needs, lives in the entry's heap
+// node. The struct is padded to exactly one cache line (and so allocated
+// line-aligned by the size-class allocator): a refresh writing one entry
+// must not invalidate readers parked on a neighboring entry, and a reader's
+// [seq, lo, hi] loads must not straddle two lines.
 type seqEntry struct {
-	key  int64
-	seq  atomic.Uint32
-	lo   atomic.Uint64
-	hi   atomic.Uint64
-	orig atomic.Uint64 // original (pre-threshold) width bits, the eviction rank
-	_    [64 - 40]byte
+	key int64
+	seq atomic.Uint32
+	lo  atomic.Uint64
+	hi  atomic.Uint64
+	_   [64 - 32]byte
 }
 
 // write installs a new approximation. Writer-only (externally serialized).
-func (e *seqEntry) write(iv interval.Interval, originalWidth float64) {
+func (e *seqEntry) write(iv interval.Interval) {
 	e.seq.Add(1) // odd: readers hold off
 	e.lo.Store(math.Float64bits(iv.Lo))
 	e.hi.Store(math.Float64bits(iv.Hi))
-	e.orig.Store(math.Float64bits(originalWidth))
 	e.seq.Add(1) // even again: new value published
 }
 
@@ -132,23 +139,6 @@ func (e *seqEntry) read() interval.Interval {
 		}
 		if spin%16 == 15 {
 			// The writer holding the odd sequence was preempted; let it run.
-			runtime.Gosched()
-		}
-	}
-}
-
-// originalWidth reads the eviction rank. Writer-only contexts may also read
-// it directly; going through the seqlock keeps it safe from either side.
-func (e *seqEntry) originalWidth() float64 {
-	for spin := 0; ; spin++ {
-		s1 := e.seq.Load()
-		if s1&1 == 0 {
-			w := e.orig.Load()
-			if e.seq.Load() == s1 {
-				return math.Float64frombits(w)
-			}
-		}
-		if spin%16 == 15 {
 			runtime.Gosched()
 		}
 	}
@@ -186,7 +176,7 @@ func NewSeq(base int, budget *Budget) *SeqCache {
 }
 
 func newSeqTable(size int) *seqTable {
-	return &seqTable{shift: uint(64 - log2(size)), slots: make([]seqSlot, size)}
+	return &seqTable{shift: uint(64 - log2(size)), slots: make([]seqSlot, size), nodes: make([]*heapNode, size)}
 }
 
 // log2 of a power of two.
@@ -293,10 +283,10 @@ func (c *SeqCache) findSlot(t *seqTable, key int) int {
 	return -1
 }
 
-// insert places a new entry, growing or compacting the table first if the
-// load factor (live plus tombstones) would exceed 3/4. Writer-only; the key
-// must not already be present.
-func (c *SeqCache) insert(e *seqEntry) {
+// insert places a new entry and its heap node, growing or compacting the
+// table first if the load factor (live plus tombstones) would exceed 3/4.
+// Writer-only; the key must not already be present.
+func (c *SeqCache) insert(e *seqEntry, n *heapNode) {
 	t := c.table.Load()
 	if (int(c.live.Load())+c.tombs+1)*4 > len(t.slots)*3 {
 		t = c.rebuild()
@@ -312,6 +302,7 @@ func (c *SeqCache) insert(e *seqEntry) {
 				i, s = firstTomb, &t.slots[firstTomb]
 				c.tombs--
 			}
+			t.nodes[i] = n
 			s.key.Store(e.key)
 			s.e.Store(e)
 			s.state.Store(slotFull) // publish last: readers check state first
@@ -346,6 +337,7 @@ func (c *SeqCache) rebuild() *seqTable {
 		for t.slots[i].state.Load() == slotFull {
 			i = (i + 1) & mask
 		}
+		t.nodes[i] = old.nodes[si]
 		t.slots[i].key.Store(e.key)
 		t.slots[i].e.Store(e)
 		t.slots[i].state.Store(slotFull)
@@ -355,34 +347,16 @@ func (c *SeqCache) rebuild() *seqTable {
 	return t
 }
 
-// removeAt tombstones slot i of the current table. Writer-only.
-func (c *SeqCache) removeAt(t *seqTable, i int) {
+// removeAt tombstones slot i of the current table and returns the entry's
+// heap node, which the caller removes from the heap or hands to the entry
+// replacing it. Writer-only.
+func (c *SeqCache) removeAt(t *seqTable, i int) *heapNode {
 	t.slots[i].state.Store(slotTomb)
+	n := t.nodes[i]
+	t.nodes[i] = nil
 	c.tombs++
 	c.live.Add(-1)
-}
-
-// widestEntry returns the widest resident entry's key, slot index, and
-// original width (ties broken toward the smaller key), skipping the exclude
-// key; (-1 index) when no eligible entry exists. Writer-only.
-func (c *SeqCache) widestEntry(t *seqTable, exclude int) (key, idx int, width float64) {
-	key, idx, width = 0, -1, math.Inf(-1)
-	for i := range t.slots {
-		s := &t.slots[i]
-		if s.state.Load() != slotFull {
-			continue
-		}
-		e := s.e.Load()
-		k := int(e.key)
-		if k == exclude {
-			continue
-		}
-		w := e.originalWidth()
-		if w > width || (w == width && k < key) {
-			key, idx, width = k, i, w
-		}
-	}
-	return key, idx, width
+	return n
 }
 
 // repay settles any slots the budget has flagged for return (a hotter shard
@@ -397,11 +371,11 @@ func (c *SeqCache) repay(t *seqTable, exclude int) {
 	}
 	for c.lender.owed.Load() > 0 && c.lender.borrowed.Load() > 0 {
 		if int(c.live.Load()) >= c.Capacity() {
-			_, idx, _ := c.widestEntry(t, exclude)
-			if idx < 0 {
+			n := c.heap.topExcept(exclude)
+			if n == nil {
 				break // only the excluded key is resident; keep the loan
 			}
-			c.removeAt(t, idx)
+			c.heap.remove(c.removeAt(t, c.findSlot(t, n.key)))
 			c.evicts.Add(1)
 		}
 		c.budget.releaseFrom(c.lender)
@@ -435,40 +409,46 @@ func (c *SeqCache) Put(key int, iv interval.Interval, originalWidth float64) (ev
 		c.repay(t, key)
 	}
 	if i := c.findSlot(t, key); i >= 0 {
-		t.slots[i].e.Load().write(iv, originalWidth)
+		t.slots[i].e.Load().write(iv)
+		n := t.nodes[i]
+		n.width = originalWidth
+		c.heap.fix(n)
 		return 0, false
 	}
-	admit := func() {
-		e := &seqEntry{key: int64(key)}
-		e.write(iv, originalWidth)
-		c.insert(e)
-		c.admits.Add(1)
-	}
-	if int(c.live.Load()) < c.Capacity() {
-		admit()
-		return 0, false
-	}
-	if c.lender != nil && c.budget.Acquire(c.lender) {
-		admit()
+	if int(c.live.Load()) < c.Capacity() || (c.lender != nil && c.budget.Acquire(c.lender)) {
+		n := &heapNode{key: key, width: originalWidth}
+		c.heap.push(n)
+		c.admit(key, iv, n)
 		return 0, false
 	}
 	// Full and no slack anywhere: eviction competition over original widths.
-	widestKey, widestIdx, widest := c.widestEntry(t, key)
-	if widestIdx < 0 || originalWidth >= widest {
-		// The candidate is at least as wide as every resident: reject it.
-		c.rejects.Add(1)
-		if c.lender != nil {
-			c.lender.bump()
-		}
-		return 0, false
-	}
-	c.removeAt(t, widestIdx)
-	c.evicts.Add(1)
+	// The candidate is not resident, so the victim is simply the top.
+	victim := c.heap.top()
 	if c.lender != nil {
 		c.lender.bump()
 	}
-	admit()
-	return widestKey, true
+	if originalWidth >= victim.width {
+		// The candidate is at least as wide as every resident: reject it.
+		c.rejects.Add(1)
+		return 0, false
+	}
+	evicted = victim.key
+	c.removeAt(t, c.findSlot(t, evicted))
+	c.evicts.Add(1)
+	// The candidate takes over the victim's heap node: one sift down.
+	victim.key, victim.width = key, originalWidth
+	c.heap.fix(victim)
+	c.admit(key, iv, victim)
+	return evicted, true
+}
+
+// admit publishes a new entry for key whose heap node is already in the
+// heap. Writer-only.
+func (c *SeqCache) admit(key int, iv interval.Interval, n *heapNode) {
+	e := &seqEntry{key: int64(key)}
+	e.write(iv)
+	c.insert(e, n)
+	c.admits.Add(1)
 }
 
 // Drop removes key if present, returning whether it was cached. A borrowed
@@ -480,7 +460,7 @@ func (c *SeqCache) Drop(key int) bool {
 	if i < 0 {
 		return false
 	}
-	c.removeAt(t, i)
+	c.heap.remove(c.removeAt(t, i))
 	c.evicts.Add(1)
 	if c.lender != nil && c.lender.borrowed.Load() > 0 {
 		c.budget.releaseFrom(c.lender)
@@ -511,7 +491,7 @@ func (c *SeqCache) Entries() []Entry {
 			continue
 		}
 		e := t.slots[i].e.Load()
-		out = append(out, Entry{Key: int(e.key), Interval: e.read(), OriginalWidth: e.originalWidth()})
+		out = append(out, Entry{Key: int(e.key), Interval: e.read(), OriginalWidth: t.nodes[i].width})
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Key < out[b].Key })
 	return out
@@ -520,8 +500,9 @@ func (c *SeqCache) Entries() []Entry {
 // Entry returns a copy of key's cached entry, if present. Like Entries it
 // is writer-only: snapshot callers hold the owning shard's lock.
 func (c *SeqCache) Entry(key int) (Entry, bool) {
-	if e := c.lookup(key); e != nil {
-		return Entry{Key: key, Interval: e.read(), OriginalWidth: e.originalWidth()}, true
+	t := c.table.Load()
+	if i := c.findSlot(t, key); i >= 0 {
+		return Entry{Key: key, Interval: t.slots[i].e.Load().read(), OriginalWidth: t.nodes[i].width}, true
 	}
 	return Entry{}, false
 }

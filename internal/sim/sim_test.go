@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"apcache/internal/cache"
 	"apcache/internal/core"
 	"apcache/internal/workload"
 )
@@ -158,6 +159,33 @@ func TestSmallCacheEvicts(t *testing.T) {
 	st := res.CacheStats
 	if st.Evicts == 0 && st.Rejects == 0 {
 		t.Errorf("small cache never evicted or rejected: %+v", st)
+	}
+}
+
+// TestSmallCacheRunPinned runs a cache four times smaller than the source
+// count, where every second brings evictions and rejections, and pins the
+// run's exact counts. Which approximation a full cache evicts decides which
+// keys later queries find cached, so any change to the victim order (the
+// widest original width, ties to the smaller key) moves these numbers.
+func TestSmallCacheRunPinned(t *testing.T) {
+	cfg := walkConfig()
+	cfg.NumSources = 48
+	cfg.CacheSize = 12
+	cfg.KeysPerQuery = 6
+	cfg.Tq = 1
+	cfg.Duration = 3000
+	cfg.Warmup = 300
+	cfg.Seed = 11
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ValueRefreshes != 12797 || res.QueryRefreshes != 12797 || res.Queries != 2701 {
+		t.Errorf("VIR/QIR/queries = %d/%d/%d, want 12797/12797/2701", res.ValueRefreshes, res.QueryRefreshes, res.Queries)
+	}
+	want := cache.Stats{Hits: 4511, Misses: 13489, Admits: 6381, Evicts: 6369, Rejects: 13571}
+	if res.CacheStats != want {
+		t.Errorf("cache stats = %+v, want %+v", res.CacheStats, want)
 	}
 }
 
